@@ -26,10 +26,13 @@ The functions below return the measured truth in all four situations.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .combinat import binomial
+from .combinat import binomial, format_int
 from .construct import check_c1_params, check_c2_params
 from .model import PdaArray, build_symbol_index
 from .validate import InvalidArrayError, validate
@@ -130,32 +133,52 @@ def params_c2(h: int, r: int, b: int, lam: int) -> SchemeParams:
     )
 
 
-def params_scheme2(h: int, r: int, t: int) -> SchemeParams:
-    """Grouped single-server baseline; exists only when r divides H."""
+def _grouped_k1(h: int, r: int) -> int:
+    """Users per group K1 = C(H-1, r-1) of the grouped baselines."""
     if h % r != 0:
         raise NotApplicableError(f"grouped baseline needs r | H, got H={h}, r={r}")
-    k1 = binomial(h - 1, r - 1)
-    if not 1 <= t < k1:
-        raise ValueError(f"need 1 <= t < {k1}, got t={t}")
+    return binomial(h - 1, r - 1)
+
+
+def _scheme2(h: int, r: int, k1: int, t: int, f_rows: int) -> SchemeParams:
+    """Grouped single-server numbers at t, given K1 and f_rows = C(K1, t)."""
     k = binomial(h, r)
-    memory = Fraction(t, k1)
-    # K(1 - M/N) / (H(1 + K1*M/N)) with K = H*K1/r reduces to (K1-t)/(r(1+t))
-    rate = Fraction(k * (k1 - t), h * k1 * (1 + t))
-    f_rows = binomial(k1, t)
     return SchemeParams(
         family="scheme2",
         h=h,
         r=r,
         k=k,
         params=(("t", t),),
-        memory_ratio=memory,
-        rate=rate,
+        memory_ratio=Fraction(t, k1),
+        # K(1 - M/N) / (H(1 + K1*M/N)) with K = H*K1/r reduces to (K1-t)/(r(1+t))
+        rate=Fraction(k * (k1 - t), h * k1 * (1 + t)),
         s_count=None,
         f_rows=f_rows,
         w=1,
         f_eff=r * f_rows,
         f_eff_full_split=h * f_rows,
     )
+
+
+def params_scheme2(h: int, r: int, t: int) -> SchemeParams:
+    """Grouped single-server baseline; exists only when r divides H."""
+    k1 = _grouped_k1(h, r)
+    if not 1 <= t < k1:
+        raise ValueError(f"need 1 <= t < {k1}, got t={t}")
+    return _scheme2(h, r, k1, t, binomial(k1, t))
+
+
+def scheme2_series(h: int, r: int) -> Iterator[SchemeParams]:
+    """params_scheme2(h, r, t) for t = 1..K1-1, in order, one at a time.
+
+    C(K1, t) is stepped from C(K1, t-1) in exact integers rather than
+    recomputed, so the whole series costs about as much as its last term.
+    """
+    k1 = _grouped_k1(h, r)
+    f_rows = 1
+    for t in range(1, k1):
+        f_rows = f_rows * (k1 - t + 1) // t
+        yield _scheme2(h, r, k1, t, f_rows)
 
 
 def params_scheme3(h: int, r: int, b: int, lam: int) -> SchemeParams:
@@ -236,21 +259,50 @@ def scheme3_candidates(h: int, r: int) -> list[SchemeParams]:
     return out
 
 
-def _pick(cands: list[SchemeParams]) -> SchemeParams:
-    return min(cands, key=lambda c: (c.rate, c.f_eff, c.family, c.params))
+def _key(c: SchemeParams) -> tuple:
+    """Tie-break among candidates: lowest rate, then fewest packets, then name."""
+    return (c.rate, c.f_eff, c.family, c.params)
+
+
+class _Frontier:
+    """Distinct candidate memories in ascending order, each with its _key-least candidate.
+
+    Built once per candidate list, then every memory point is answered by
+    one bisection, so G points over C candidates cost O((G + C) log C).
+    """
+
+    def __init__(self, cands: list[SchemeParams]) -> None:
+        self.mems: list[Fraction] = []
+        self.best: list[SchemeParams] = []
+        for c in sorted(cands, key=lambda c: (c.memory_ratio, _key(c))):
+            if not self.mems or self.mems[-1] != c.memory_ratio:
+                self.mems.append(c.memory_ratio)
+                self.best.append(c)
+
+    def at(self, point: Fraction, mode: str) -> SchemeParams | None:
+        if mode not in ("closest", "exact"):
+            raise ValueError(f"mode must be 'closest' or 'exact', got {mode!r}")
+        i = bisect_left(self.mems, point)
+        if i < len(self.mems) and self.mems[i] == point:
+            return self.best[i]
+        if mode == "exact" or not self.mems:
+            return None
+        # the nearest memories are the neighbours just below and just above
+        if i == 0:
+            return self.best[0]
+        if i == len(self.mems):
+            return self.best[-1]
+        below, above = point - self.mems[i - 1], self.mems[i] - point
+        if below < above:
+            return self.best[i - 1]
+        if above < below:
+            return self.best[i]
+        return min(self.best[i - 1], self.best[i], key=_key)
 
 
 def best_at(cands: list[SchemeParams], point: Fraction, mode: str = "closest") -> SchemeParams | None:
     """Lowest-rate candidate at a memory point; closest mode relaxes to nearest M/N."""
-    if mode == "exact":
-        hits = [c for c in cands if c.memory_ratio == point]
-        return _pick(hits) if hits else None
-    if mode != "closest":
-        raise ValueError(f"mode must be 'closest' or 'exact', got {mode!r}")
-    if not cands:
-        return None
-    gap = min(abs(c.memory_ratio - point) for c in cands)
-    return _pick([c for c in cands if abs(c.memory_ratio - point) == gap])
+    return _Frontier(cands).at(point, mode)
 
 
 @dataclass(frozen=True)
@@ -265,31 +317,28 @@ def compare_table(
     h: int, r: int, grid: list[Fraction] | None = None, mode: str = "closest"
 ) -> list[ComparisonRow]:
     """One row per memory point; grid defaults to scheme2's points, else scheme1's."""
-    cands1 = scheme1_candidates(h, r)
-    cands3 = scheme3_candidates(h, r)
-    k1 = binomial(h - 1, r - 1)
+    front1 = _Frontier(scheme1_candidates(h, r))
+    front3 = _Frontier(scheme3_candidates(h, r))
     grouped = h % r == 0
-    if grid is None:
-        if grouped:
-            grid = [Fraction(t, k1) for t in range(1, k1)]
-        else:
-            grid = sorted({c.memory_ratio for c in cands1})
-    rows: list[ComparisonRow] = []
-    for point in sorted(grid):
-        s2 = None
-        if grouped:
+    points: Iterable[tuple[Fraction, SchemeParams | None]]
+    if grid is not None:
+        k1 = binomial(h - 1, r - 1)
+
+        def baseline(point: Fraction) -> SchemeParams | None:
             t = point * k1
-            if t.denominator == 1 and 1 <= t.numerator < k1:
-                s2 = params_scheme2(h, r, t.numerator)
-        rows.append(
-            ComparisonRow(
-                point=point,
-                scheme1=best_at(cands1, point, mode),
-                scheme2=s2,
-                scheme3=best_at(cands3, point, mode) if cands3 else None,
-            )
-        )
-    return rows
+            if grouped and t.denominator == 1 and 1 <= t.numerator < k1:
+                return params_scheme2(h, r, t.numerator)
+            return None
+
+        points = ((p, baseline(p)) for p in sorted(grid))
+    elif grouped:
+        points = ((s.memory_ratio, s) for s in scheme2_series(h, r))
+    else:
+        points = ((m, None) for m in front1.mems)
+    return [
+        ComparisonRow(point=p, scheme1=front1.at(p, mode), scheme2=s2, scheme3=front3.at(p, mode))
+        for p, s2 in points
+    ]
 
 
 CSV_HEADER = (
@@ -321,7 +370,7 @@ def render_csv(rows: list[ComparisonRow], h: int, r: int) -> str:
             m, rt = p.memory_ratio, p.rate
             lines.append(
                 f"{h},{r},{p.family},{p.param_str},{m.numerator},{m.denominator},"
-                f"{rt.numerator},{rt.denominator},{p.f_eff},true,"
+                f"{rt.numerator},{rt.denominator},{format_int(p.f_eff)},true,"
                 f"{float(m):.6f},{float(rt):.6f},{factor}"
             )
     return "\n".join(lines) + "\n"
@@ -358,39 +407,37 @@ class DominanceReport:
 
 
 def check_dominance(h: int, r: int) -> DominanceReport:
-    cands = scheme1_candidates(h, r)
+    # Sorted by memory, the candidates usable under a memory budget form a
+    # prefix, so running minima along that order answer every budget.
+    cands = sorted(scheme1_candidates(h, r), key=lambda c: c.memory_ratio)
+    mems = [c.memory_ratio for c in cands]
+    least_f = list(accumulate((c.f_eff for c in cands), min))
+    best = list(accumulate(cands, lambda a, c: min(a, c, key=_key)))
     s2_checked = s2_skipped = 0
     s2_viol: list[int] = []
     s2_curve: list[int] = []
     factor_max: Fraction | None = None
     factor_arg: int | None = None
     if h % r == 0:
-        k1 = binomial(h - 1, r - 1)
-        for t in range(1, k1):
-            base = params_scheme2(h, r, t)
-            usable = [c for c in cands if c.memory_ratio <= base.memory_ratio]
-            if not usable:
+        for t, base in enumerate(scheme2_series(h, r), start=1):
+            n = bisect_right(mems, base.memory_ratio)
+            if n == 0:
                 s2_skipped += 1
                 continue
             s2_checked += 1
-            if not any(c.f_eff < base.f_eff for c in usable):
+            if least_f[n - 1] >= base.f_eff:
                 s2_viol.append(t)
-            best_rate = min(c.rate for c in usable)
-            pick = _pick([c for c in usable if c.rate == best_rate])
+            pick = best[n - 1]  # min rate, ties broken like best_at
             if pick.f_eff >= base.f_eff:
                 s2_curve.append(t)
-            if base.rate > 0:
-                factor = best_rate / base.rate
-                if factor_max is None or factor > factor_max:
-                    factor_max, factor_arg = factor, t
+            factor = pick.rate / base.rate  # scheme2's rate is positive for t < K1
+            if factor_max is None or factor > factor_max:
+                factor_max, factor_arg = factor, t
     s3 = scheme3_candidates(h, r)
     s3_viol: list[tuple[int, int]] = []
     for base in s3:
-        beats = any(
-            c.memory_ratio <= base.memory_ratio and c.rate < base.rate and c.f_eff < base.f_eff
-            for c in cands
-        )
-        if not beats:
+        usable = cands[: bisect_right(mems, base.memory_ratio)]
+        if not any(c.rate < base.rate and c.f_eff < base.f_eff for c in usable):
             s3_viol.append((dict(base.params)["b"], dict(base.params)["lam"]))
     return DominanceReport(
         h=h,

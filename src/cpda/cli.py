@@ -24,7 +24,7 @@ from .analysis import (
     render_csv,
     render_dominance,
 )
-from .combinat import format_relays
+from .combinat import format_int, format_relays
 from .construct import FAMILIES, build_family
 from .model import ArrayFormatError, PdaArray, format_array, read_array, write_array
 from .simulate import SimulationReport, simulate
@@ -171,16 +171,16 @@ def _cmd_params(args: argparse.Namespace) -> int:
         _need(args, "h", "r", "b", "lam")
         p = params_scheme3(args.h, args.r, args.b, args.lam)
     print(f"family {p.family} H={p.h} r={p.r} {p.param_str}")
-    print(f"K = {p.k}")
+    print(f"K = {format_int(p.k)}")
     m = p.memory_ratio
-    print(f"M/N = {m.numerator}/{m.denominator} (~{float(m):.6f})")
-    print(f"R_h = {p.rate.numerator}/{p.rate.denominator} (~{float(p.rate):.6f})")
+    print(f"M/N = {format_int(m.numerator)}/{format_int(m.denominator)} (~{float(m):.6f})")
+    print(f"R_h = {format_int(p.rate.numerator)}/{format_int(p.rate.denominator)} (~{float(p.rate):.6f})")
     if p.s_count is not None:
-        print(f"S = {p.s_count}")
-    print(f"F_rows = {p.f_rows}")
+        print(f"S = {format_int(p.s_count)}")
+    print(f"F_rows = {format_int(p.f_rows)}")
     print(f"w = {'?' if p.w is None else p.w}")
-    print(f"F_eff = {p.f_eff}")
-    print(f"F_eff_full_split = {p.f_eff_full_split}")
+    print(f"F_eff = {format_int(p.f_eff)}")
+    print(f"F_eff_full_split = {format_int(p.f_eff_full_split)}")
     return 0
 
 

@@ -8,6 +8,7 @@ primitives. All arithmetic is exact (arbitrary precision integers).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from itertools import combinations
 from math import comb
 
@@ -83,6 +84,21 @@ def common_relays(labels) -> RelaySet:
     for lab in it:
         out &= set(lab)
     return tuple(sorted(out))
+
+
+def format_int(n: int) -> str:
+    """Decimal digits of an exact integer of any length.
+
+    Since Python 3.11, str() refuses ints longer than
+    sys.get_int_max_str_digits() (4,300 by default), and packet counts such
+    as C(K1, t) pass that. The decimal module converts without the limit
+    and leaves the process-wide setting alone. It is only the fallback
+    because it leaves more memory resident than str().
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def format_relays(members: RelaySet) -> str:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,8 +21,10 @@ from cpda.analysis import (
     render_csv,
     render_dominance,
     scheme1_candidates,
+    scheme2_series,
     scheme3_candidates,
 )
+from cpda.combinat import binomial
 from cpda.construct import c1p, c1pp, c2, mn_pda
 from cpda.validate import InvalidArrayError
 
@@ -101,6 +105,28 @@ def test_scheme2_params():
         params_scheme2(4, 2, 0)
     with pytest.raises(ValueError):
         params_scheme2(4, 2, 3)
+
+
+@pytest.mark.parametrize("h,r", [(4, 2), (12, 3), (20, 4), (24, 4)])
+def test_scheme2_series_equals_closed_form(h, r):
+    k1 = binomial(h - 1, r - 1)
+    assert list(scheme2_series(h, r)) == [params_scheme2(h, r, t) for t in range(1, k1)]
+
+
+def test_scheme2_series_needs_grouping():
+    with pytest.raises(NotApplicableError):
+        list(scheme2_series(5, 2))
+
+
+def test_render_csv_prints_integers_past_the_str_limit():
+    # at (30, 5) scheme2 has K1 = 23751, and F_eff = 5 * C(23751, 11875) has 7,149 digits
+    rows = compare_table(30, 5, grid=[Fraction(11875, 23751)])
+    lines = render_csv(rows, 30, 5).strip().split("\n")
+    s2 = [line.split(",") for line in lines if ",scheme2," in line]
+    assert len(s2) == 1 and s2[0][3] == "t=11875"
+    digits = s2[0][8]
+    assert digits.isdigit() and len(digits) == 7149
+    assert int(Decimal(digits)) == 5 * comb(23751, 11875)
 
 
 def test_scheme3_params():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from decimal import Decimal
+from math import comb
+
 import pytest
 
 from cpda.cli import main
@@ -162,6 +165,22 @@ def test_params_command(capsys):
                      "--b", "1", "--lambda", "1")
     assert rc == 0
     assert "M/N = 2/5" in out and "R_h = 2/5" in out and "S = 10" in out and "w = 2" in out
+
+
+def test_params_and_compare_print_long_integers(capsys):
+    # F_rows = C(23751, 11875) has 7,148 digits, past str()'s default limit of 4,300
+    rc, out, _ = run(capsys, "params", "--family", "scheme2", "--H", "30", "--r", "5",
+                     "--t", "11875")
+    assert rc == 0
+    fields = dict(line.split(" = ", 1) for line in out.strip().split("\n")[1:])
+    f_rows = comb(23751, 11875)
+    assert int(Decimal(fields["F_rows"])) == f_rows and len(fields["F_rows"]) == 7148
+    assert int(Decimal(fields["F_eff"])) == 5 * f_rows
+    assert int(Decimal(fields["F_eff_full_split"])) == 30 * f_rows
+
+    rc, out, _ = run(capsys, "compare", "--H", "30", "--r", "5", "--grid", "11875/23751")
+    assert rc == 0
+    assert out.count("\n") == 4  # header + scheme1, scheme2, scheme3 rows
 
 
 def test_params_inapplicable(capsys):
