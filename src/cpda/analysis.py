@@ -34,7 +34,7 @@ from itertools import accumulate
 
 from .combinat import binomial, format_int
 from .construct import check_c1_params, check_c2_params
-from .model import PdaArray, build_symbol_index
+from .model import PdaArray
 from .validate import InvalidArrayError, validate
 
 
@@ -133,8 +133,15 @@ def params_c2(h: int, r: int, b: int, lam: int) -> SchemeParams:
     )
 
 
+def check_shape(h: int, r: int) -> None:
+    """Every comparison needs a network whose users attach to 0 < r < H relays."""
+    if not 0 < r < h:
+        raise ValueError(f"need 0 < r < H, got r={r}, H={h}")
+
+
 def _grouped_k1(h: int, r: int) -> int:
     """Users per group K1 = C(H-1, r-1) of the grouped baselines."""
+    check_shape(h, r)
     if h % r != 0:
         raise NotApplicableError(f"grouped baseline needs r | H, got H={h}, r={r}")
     return binomial(h - 1, r - 1)
@@ -183,8 +190,7 @@ def scheme2_series(h: int, r: int) -> Iterator[SchemeParams]:
 
 def params_scheme3(h: int, r: int, b: int, lam: int) -> SchemeParams:
     """Grouped relay baseline built on a smaller (H-1, r-1) array; full-split packets."""
-    if h % r != 0:
-        raise NotApplicableError(f"grouped baseline needs r | H, got H={h}, r={r}")
+    _grouped_k1(h, r)  # the shape and r | H checks
     if r < 2:
         raise NotApplicableError("base array needs r >= 2")
     try:
@@ -222,8 +228,7 @@ def rate_from_array(array: PdaArray) -> dict[int, Fraction]:
     if not report.ok:
         raise InvalidArrayError("rates are defined only for routable arrays")
     rates = {h: Fraction(0) for h in range(1, array.h + 1)}
-    index = build_symbol_index(array)
-    for info in index.values():
+    for info in array.symbol_index.values():
         share = Fraction(1, array.f * info.width)
         for h in info.common:
             rates[h] += share
@@ -232,6 +237,7 @@ def rate_from_array(array: PdaArray) -> dict[int, Fraction]:
 
 def scheme1_candidates(h: int, r: int) -> list[SchemeParams]:
     """Every buildable parameter tuple at (H, r), both c1 variants plus c2."""
+    check_shape(h, r)
     out: list[SchemeParams] = []
     for b in range(1, h):
         for lam in range(1, min(r, b) + 1):
@@ -247,6 +253,7 @@ def scheme1_candidates(h: int, r: int) -> list[SchemeParams]:
 
 
 def scheme3_candidates(h: int, r: int) -> list[SchemeParams]:
+    check_shape(h, r)
     out: list[SchemeParams] = []
     if h % r != 0 or r < 2:
         return out

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .analysis import (
     NotApplicableError,
     check_dominance,
+    check_shape,
     compare_table,
     params_c1,
     params_c2,
@@ -24,11 +25,15 @@ from .analysis import (
     render_csv,
     render_dominance,
 )
-from .combinat import format_int, format_relays
+from .combinat import binomial, format_int, format_relays
 from .construct import FAMILIES, build_family
 from .model import ArrayFormatError, PdaArray, format_array, read_array, write_array
 from .simulate import SimulationReport, simulate
 from .validate import InvalidArrayError, render_report, validate
+
+# compare refuses to walk a grouped-baseline series longer than this: (30,5)
+# has 23,750 points and takes about 20 s, (60,6) would have 5,006,385
+MAX_SERIES_POINTS = 25_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -195,6 +200,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 raise ValueError(f"bad grid entry {tok!r}, expected p/q") from None
             if not 0 <= grid[-1] <= 1:
                 raise ValueError(f"grid entry {tok} outside [0, 1]")
+    check_shape(args.h, args.r)
+    if args.h % args.r == 0 and (grid is None or args.check_dominance):
+        points = binomial(args.h - 1, args.r - 1) - 1
+        if points > MAX_SERIES_POINTS:
+            raise ValueError(
+                f"H={args.h}, r={args.r} has {points} grouped-baseline memory points, more than "
+                f"{MAX_SERIES_POINTS}; name the points with --grid, without --check-dominance"
+            )
     rows = compare_table(args.h, args.r, grid=grid, mode=args.mode)
     csv = render_csv(rows, args.h, args.r)
     if args.out:

@@ -29,38 +29,6 @@ def ksubsets(h: int, k: int) -> list[RelaySet]:
     return list(combinations(range(1, h + 1), k))
 
 
-def subset_rank(h: int, members: RelaySet) -> int:
-    """Lexicographic index (0-based) of an ascending k-subset of {1..h}."""
-    k = len(members)
-    rank = 0
-    prev = 0
-    for i, c in enumerate(members):
-        # count subsets that branch off with a smaller element at slot i
-        for skipped in range(prev + 1, c):
-            rank += binomial(h - skipped, k - i - 1)
-        prev = c
-    return rank
-
-
-def subset_unrank(h: int, k: int, rank: int) -> RelaySet:
-    """Inverse of subset_rank: the k-subset of {1..h} at lexicographic position rank."""
-    total = binomial(h, k)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range, {total} subsets of size {k}")
-    members = []
-    x = 1
-    for i in range(k):
-        while True:
-            below = binomial(h - x, k - i - 1)
-            if rank < below:
-                members.append(x)
-                x += 1
-                break
-            rank -= below
-            x += 1
-    return tuple(members)
-
-
 def union(a: RelaySet, b: RelaySet) -> RelaySet:
     return tuple(sorted(set(a) | set(b)))
 
@@ -71,10 +39,6 @@ def difference(a: RelaySet, b: RelaySet) -> RelaySet:
 
 def intersection(a: RelaySet, b: RelaySet) -> RelaySet:
     return tuple(sorted(set(a) & set(b)))
-
-
-def is_subset(a: RelaySet, b: RelaySet) -> bool:
-    return set(a) <= set(b)
 
 
 def common_relays(labels) -> RelaySet:

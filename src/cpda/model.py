@@ -16,7 +16,10 @@ identically.
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .combinat import RelaySet, common_relays, format_relays, parse_relays
 
@@ -77,16 +80,22 @@ class PdaArray:
     def star_count(self, j: int) -> int:
         return sum(1 for row in self.rows if row[j] is STAR)
 
+    @cached_property
+    def symbol_index(self) -> Mapping[int, SymbolInfo]:
+        """build_symbol_index, derived on first use and shared read-only after that.
+
+        The array is immutable, so every consumer (validation, library sizing,
+        placement, delivery planning, rates) can read the same index.
+        """
+        return MappingProxyType(build_symbol_index(self))
+
+    def __getstate__(self) -> dict[str, object]:
+        # a mappingproxy cannot be pickled; the copy derives its own index on first use
+        return {k: v for k, v in self.__dict__.items() if k != "symbol_index"}
+
     def symbols(self) -> list[int]:
         """Distinct symbol ids in first-occurrence row-major order."""
-        out: list[int] = []
-        seen: set[int] = set()
-        for row in self.rows:
-            for cell in row:
-                if cell is not STAR and cell not in seen:
-                    seen.add(cell)
-                    out.append(cell)
-        return out
+        return list(self.symbol_index)
 
 
 @dataclass(frozen=True)

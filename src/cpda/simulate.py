@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .combinat import RelaySet
-from .model import STAR, PdaArray, build_symbol_index
+from .model import STAR, PdaArray
 from .validate import InvalidArrayError, validate
 
 PacketId = tuple[int, int]  # (file id, packet id), both 1-based
@@ -54,7 +54,7 @@ class Library:
 
 def split_lcm(array: PdaArray) -> int:
     """lcm of all symbol widths; 1 for an all-star array."""
-    return lcm(*(info.width for info in build_symbol_index(array).values()))
+    return lcm(*(info.width for info in array.symbol_index.values()))
 
 
 def min_file_bytes(array: PdaArray) -> int:
@@ -113,10 +113,8 @@ def plan_delivery(array: PdaArray, demands: tuple[int, ...]) -> DeliveryPlan:
         raise ValueError(f"need one demand per user, got {len(demands)} for {array.k}")
     if any(d < 1 for d in demands):
         raise ValueError("file ids are 1-based")
-    index = build_symbol_index(array)
     signals: list[SignalPlan] = []
-    for s in array.symbols():
-        info = index[s]
+    for s, info in array.symbol_index.items():
         if not info.common:
             raise InvalidArrayError(f"symbol {s} has no common relay and cannot be routed")
         terms = tuple(

@@ -14,10 +14,11 @@ is replaced by a layer of relays.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .combinat import format_relays
-from .model import STAR, PdaArray, SymbolInfo, build_symbol_index
+from .model import STAR, PdaArray, SymbolInfo
 
 
 class InvalidArrayError(ValueError):
@@ -64,8 +65,8 @@ class ValidationReport:
         return self.is_cpda if self.require_cpda else self.is_pda
 
 
-def check_c1(array: PdaArray) -> tuple[int | None, list[Violation]]:
-    counts = [array.star_count(j) for j in range(array.k)]
+def check_c1(counts: Sequence[int]) -> tuple[int | None, list[Violation]]:
+    """C1 over the star count of every column, in column order."""
     lo, hi = min(counts), max(counts)
     if lo == hi:
         return lo, []
@@ -75,7 +76,7 @@ def check_c1(array: PdaArray) -> tuple[int | None, list[Violation]]:
     ]
 
 
-def check_c2(array: PdaArray, index: dict[int, SymbolInfo]) -> list[Violation]:
+def check_c2(array: PdaArray, index: Mapping[int, SymbolInfo]) -> list[Violation]:
     out: list[Violation] = []
     for s, info in index.items():
         cells = info.occurrences
@@ -107,28 +108,7 @@ def check_c2(array: PdaArray, index: dict[int, SymbolInfo]) -> list[Violation]:
     return out
 
 
-def check_c2_bruteforce(array: PdaArray) -> bool:
-    """Quadratic all-cell-pairs reference check of C2, kept as an oracle."""
-    cells = [
-        (i, j, c)
-        for i, row in enumerate(array.rows)
-        for j, c in enumerate(row)
-        if c is not STAR
-    ]
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            i1, j1, s1 = cells[a]
-            i2, j2, s2 = cells[b]
-            if s1 != s2:
-                continue
-            if i1 == i2 or j1 == j2:
-                return False
-            if array.cell(i1, j2) is not STAR or array.cell(i2, j1) is not STAR:
-                return False
-    return True
-
-
-def check_c3(array: PdaArray, index: dict[int, SymbolInfo]) -> list[Violation]:
+def check_c3(array: PdaArray, index: Mapping[int, SymbolInfo]) -> list[Violation]:
     out: list[Violation] = []
     for s, info in index.items():
         if not info.common:
@@ -140,8 +120,9 @@ def check_c3(array: PdaArray, index: dict[int, SymbolInfo]) -> list[Violation]:
 
 def validate(array: PdaArray, require_cpda: bool = False) -> ValidationReport:
     """Run all checks and summarize; ok follows require_cpda."""
-    index = build_symbol_index(array)
-    z, v1 = check_c1(array)
+    index = array.symbol_index
+    counts = tuple(array.star_count(j) for j in range(array.k))
+    z, v1 = check_c1(counts)
     v2 = check_c2(array, index)
     v3 = check_c3(array, index)
     is_pda = not v1 and not v2
@@ -156,7 +137,7 @@ def validate(array: PdaArray, require_cpda: bool = False) -> ValidationReport:
         f=array.f,
         z=z,
         s=len(index),
-        col_star_counts=tuple(array.star_count(j) for j in range(array.k)),
+        col_star_counts=counts,
         w_histogram=hist,
         violations=tuple(v1 + v2 + v3),
     )

@@ -288,3 +288,20 @@ def test_dominance_ungrouped_skips_baselines():
     assert rep.scheme2_checked == 0 and rep.scheme3_checked == 0
     assert rep.ok
     assert "result: ok" in render_dominance(rep)
+
+
+@pytest.mark.parametrize("h, r", [(4, 0), (3, -1), (2, 5), (-4, 2), (3, 3)])
+def test_every_entry_point_refuses_a_shape_outside_zero_r_h(h, r):
+    calls = [
+        lambda: compare_table(h, r),
+        lambda: compare_table(h, r, grid=[Fraction(1, 2)]),
+        lambda: check_dominance(h, r),
+        lambda: scheme1_candidates(h, r),
+        lambda: scheme3_candidates(h, r),
+        lambda: list(scheme2_series(h, r)),
+        lambda: params_scheme2(h, r, 1),
+        lambda: params_scheme3(h, r, 1, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"need 0 < r < H"):
+            call()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from decimal import Decimal
 from math import comb
 
@@ -189,6 +190,31 @@ def test_params_inapplicable(capsys):
     rc, _, err = run(capsys, "params", "--family", "scheme3", "--H", "4", "--r", "2",
                      "--b", "3", "--lambda", "1")
     assert rc == 2 and "base parameters invalid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--H", "4", "--r", "0"),
+    ("compare", "--H", "3", "--r", "-1"),
+    ("compare", "--H", "2", "--r", "5"),
+    ("compare", "--H", "-4", "--r", "2"),
+    ("compare", "--H", "4", "--r", "0", "--grid", "1/2"),
+    ("params", "--family", "scheme2", "--H", "4", "--r", "0", "--t", "1"),
+    ("params", "--family", "scheme3", "--H", "4", "--r", "0", "--b", "1", "--lambda", "1"),
+])
+def test_network_shape_outside_zero_r_h_is_refused(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: need 0 < r < H")
+
+
+@pytest.mark.parametrize("extra", [(), ("--grid", "1/2", "--check-dominance")])
+def test_compare_refuses_a_series_past_the_limit(capsys, extra):
+    # (60, 6) has C(59, 5) - 1 = 5,006,385 grouped-baseline points
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "compare", "--H", "60", "--r", "6", *extra)
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert "5006385" in err and "--grid" in err
 
 
 def test_compare_stdout_and_file(capsys, tmp_path):

@@ -10,11 +10,8 @@ from cpda.combinat import (
     difference,
     format_relays,
     intersection,
-    is_subset,
     ksubsets,
     parse_relays,
-    subset_rank,
-    subset_unrank,
     union,
 )
 
@@ -62,29 +59,11 @@ def test_ksubsets_range_errors():
         ksubsets(3, -1)
 
 
-def test_rank_unrank_roundtrip():
-    for h in range(1, 9):
-        for k in range(0, h + 1):
-            for i, s in enumerate(ksubsets(h, k)):
-                assert subset_rank(h, s) == i
-                assert subset_unrank(h, k, i) == s
-
-
-def test_unrank_out_of_range():
-    with pytest.raises(ValueError):
-        subset_unrank(5, 2, 10)
-    with pytest.raises(ValueError):
-        subset_unrank(5, 2, -1)
-
-
 def test_set_operations():
     assert union((1, 3), (2, 3)) == (1, 2, 3)
     assert difference((1, 2, 3), (2,)) == (1, 3)
     assert intersection((1, 2, 3), (2, 3, 4)) == (2, 3)
     assert intersection((1, 2), (3, 4)) == ()
-    assert is_subset((1, 3), (1, 2, 3))
-    assert not is_subset((1, 4), (1, 2, 3))
-    assert is_subset((), (1,))
 
 
 def test_common_relays():
@@ -101,7 +80,6 @@ def test_set_ops_match_python_sets():
         assert set(union(a, b)) == set(a) | set(b)
         assert set(difference(a, b)) == set(a) - set(b)
         assert set(intersection(a, b)) == set(a) & set(b)
-        assert is_subset(a, b) == (set(a) <= set(b))
 
 
 def test_format_parse_roundtrip():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from cpda.model import (
@@ -62,6 +65,13 @@ def test_symbol_index_golden(worked_ex1):
     assert s5.occurrences == ((0, 0), (3, 6), (4, 7))
     assert s5.common == (2, 3)
     assert all(info.width == 2 for info in index.values())
+
+
+def test_array_with_derived_index_pickles_and_copies(worked_ex1):
+    index = worked_ex1.symbol_index
+    for twin in (pickle.loads(pickle.dumps(worked_ex1)), copy.deepcopy(worked_ex1)):
+        assert twin == worked_ex1 and twin.row_labels == worked_ex1.row_labels
+        assert twin.symbol_index == index
 
 
 def test_canonical_relabel_golden(worked_ex1):

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from cpda import model
 from cpda.analysis import rate_from_array
 from cpda.construct import c1p, c1pp, c2, mn_pda
-from cpda.model import STAR
+from cpda.model import STAR, build_symbol_index
 from cpda.simulate import (
     Library,
     decode_all,
@@ -189,3 +191,31 @@ def test_rates_independent_of_demands(worked_ex1):
     a = simulate(worked_ex1, demands=(1,) * 10, n_files=1, unit=1)
     b = simulate(worked_ex1, demands=tuple(range(1, 11)), unit=1)
     assert a.rates == b.rates
+
+
+def count_index_builds(monkeypatch) -> list[int]:
+    """Count build_symbol_index calls from every cpda module that binds the name."""
+    original = model.build_symbol_index
+    calls = [0]
+
+    def counted(array):
+        calls[0] += 1
+        return original(array)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "cpda" or name.startswith("cpda.")) and getattr(module, "build_symbol_index", None) is original:
+            monkeypatch.setattr(module, "build_symbol_index", counted)
+    return calls
+
+
+def test_symbol_index_is_derived_once_per_array(monkeypatch):
+    calls = count_index_builds(monkeypatch)
+    array = c2(6, 3, 2, 1)
+    assert simulate(array, n_files=2, seed=3, unit=1).ok
+    assert calls[0] == 1
+    array = c1pp(6, 3, 2, 1)
+    rate_from_array(array)
+    assert calls[0] == 2
+    assert array.symbol_index == build_symbol_index(array)
+    with pytest.raises(TypeError):
+        array.symbol_index[1] = array.symbol_index[2]  # type: ignore[index]

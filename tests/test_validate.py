@@ -5,9 +5,10 @@ import random
 import pytest
 
 from cpda.construct import c1p, c1pp, c2, mn_pda
+from oracle_validate import check_c2_bruteforce
+
 from cpda.model import STAR, PdaArray, build_symbol_index
 from cpda.validate import (
-    check_c2_bruteforce,
     render_report,
     reverify,
     validate,
