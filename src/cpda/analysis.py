@@ -31,6 +31,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lgamma, log
 
 from .combinat import binomial, format_int
 from .construct import check_c1_params, check_c2_params
@@ -167,11 +168,21 @@ def _scheme2(h: int, r: int, k1: int, t: int, f_rows: int) -> SchemeParams:
     )
 
 
+# params_scheme2 refuses a point whose C(K1, t) has more decimal digits than
+# this; computing C(K1, t) exactly takes about 0.1 s at 21,000 digits and
+# 1.5 s at 90,000. The largest point of (30,5) has 7,149 digits.
+MAX_F_ROWS_DIGITS = 20_000
+
+
 def params_scheme2(h: int, r: int, t: int) -> SchemeParams:
     """Grouped single-server baseline; exists only when r divides H."""
     k1 = _grouped_k1(h, r)
     if not 1 <= t < k1:
         raise ValueError(f"need 1 <= t < {k1}, got t={t}")
+    digits = (lgamma(k1 + 1) - lgamma(t + 1) - lgamma(k1 - t + 1)) / log(10) + 1
+    if digits > MAX_F_ROWS_DIGITS:
+        raise ValueError(f"t={t}: C({k1}, {t}) has about {digits:,.0f} digits, "
+                         f"more than {MAX_F_ROWS_DIGITS:,}")
     return _scheme2(h, r, k1, t, binomial(k1, t))
 
 

@@ -29,20 +29,8 @@ def ksubsets(h: int, k: int) -> list[RelaySet]:
     return list(combinations(range(1, h + 1), k))
 
 
-def union(a: RelaySet, b: RelaySet) -> RelaySet:
-    return tuple(sorted(set(a) | set(b)))
-
-
-def difference(a: RelaySet, b: RelaySet) -> RelaySet:
-    return tuple(sorted(set(a) - set(b)))
-
-
-def intersection(a: RelaySet, b: RelaySet) -> RelaySet:
-    return tuple(sorted(set(a) & set(b)))
-
-
 def common_relays(labels) -> RelaySet:
-    """Fold of intersections over a non-empty sequence of relay sets."""
+    """Fold of intersections over a non-empty iterable of relay sets."""
     it = iter(labels)
     out = set(next(it))
     for lab in it:
@@ -70,12 +58,19 @@ def format_relays(members: RelaySet) -> str:
     return "-".join(str(m) for m in members)
 
 
+def parse_positive(text: str) -> int:
+    """A positive integer in canonical form: ASCII digits, no sign, underscore or leading zero."""
+    if not (text.isascii() and text.isdigit()) or text[0] == "0":
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def parse_relays(text: str) -> RelaySet:
     """Parse the dash-joined form back into an ascending tuple."""
     try:
-        members = tuple(int(p) for p in text.split("-"))
+        members = tuple(parse_positive(p) for p in text.split("-"))
     except ValueError:
         raise ValueError(f"bad relay set {text!r}") from None
-    if any(m <= 0 for m in members) or list(members) != sorted(set(members)):
+    if list(members) != sorted(set(members)):
         raise ValueError(f"relay ids must be strictly ascending positive integers: {text!r}")
     return members

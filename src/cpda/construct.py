@@ -1,6 +1,9 @@
 """Deterministic array generators.
 
-Three families are buildable:
+Every family is one cell rule over relay sets, fed to a single builder:
+rows are labelled objects, columns are relay sets A, and rule(A, row) gives
+either a star (None) or a hashable key naming the cell's symbol. Four
+families are buildable:
 
 * mn_pda(k, t): the classic single-server array on t-subset rows and
   single-user columns. It satisfies C1 and C2 but never C3 (for t >= 1 the
@@ -21,12 +24,15 @@ generator output is already canonically numbered.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from itertools import combinations
+from typing import TypeVar
 
-from .combinat import RelaySet, difference, format_relays, intersection, ksubsets, union
+from .combinat import RelaySet, format_relays, ksubsets
 from .model import STAR, Cell, PdaArray
 
-SymbolKey = tuple[RelaySet, RelaySet]
+Row = TypeVar("Row")
+SymbolKey = tuple[frozenset[int], frozenset[int]]
 
 
 def check_c1_params(h: int, r: int, b: int, lam: int) -> None:
@@ -54,37 +60,35 @@ def check_c2_params(h: int, r: int, b: int, lam: int) -> None:
         raise ValueError(f"need r + lambda < H, got {r + lam} >= {h}")
 
 
-class _SymbolNamer:
-    """Assigns 1-based ids to symbol keys at first encounter."""
+def _build(h: int, r: int, cols: list[RelaySet], rows: Iterable[tuple[str, Row]],
+           rule: Callable[[frozenset[int], Row], Hashable | None]) -> PdaArray:
+    """The one array builder: cell (row, A) is a star when rule(A, row) is None,
+    else the id of its symbol key, numbered at first encounter in row-major order."""
+    col_sets = [frozenset(aa) for aa in cols]
+    ids: dict[Hashable, int] = {}
+    cells: list[tuple[Cell, ...]] = []
+    labels: list[str] = []
+    for label, obj in rows:
+        keys = (rule(aa, obj) for aa in col_sets)
+        cells.append(tuple(STAR if key is None else ids.setdefault(key, len(ids) + 1) for key in keys))
+        labels.append(label)
+    return PdaArray(h, r, tuple(cols), tuple(cells), tuple(labels))
 
-    def __init__(self) -> None:
-        self.ids: dict[SymbolKey, int] = {}
 
-    def __call__(self, key: SymbolKey) -> int:
-        if key not in self.ids:
-            self.ids[key] = len(self.ids) + 1
-        return self.ids[key]
+def _subset_rows(h: int, k: int) -> Iterator[tuple[str, frozenset[int]]]:
+    return ((format_relays(s), frozenset(s)) for s in ksubsets(h, k))
 
 
 def _c1_array(h: int, r: int, b: int, lam: int, prime: bool) -> PdaArray:
     check_c1_params(h, r, b, lam)
-    cols = ksubsets(h, r)
-    name = _SymbolNamer()
-    rows: list[tuple[Cell, ...]] = []
-    row_labels: list[str] = []
-    for bb in ksubsets(h, b):
-        row: list[Cell] = []
-        for aa in cols:
-            i = intersection(aa, bb)
-            if len(i) != lam:
-                row.append(STAR)
-                continue
-            body = difference(union(aa, bb), i)
-            key = (body, difference(aa, bb) if prime else i)
-            row.append(name(key))
-        rows.append(tuple(row))
-        row_labels.append(format_relays(bb))
-    return PdaArray(h, r, tuple(cols), tuple(rows), tuple(row_labels))
+
+    def rule(aa: frozenset[int], bb: frozenset[int]) -> SymbolKey | None:
+        i = aa & bb
+        if len(i) != lam:
+            return None
+        return aa ^ bb, aa - bb if prime else i
+
+    return _build(h, r, ksubsets(h, r), _subset_rows(h, b), rule)
 
 
 def c1p(h: int, r: int, b: int, lam: int) -> PdaArray:
@@ -99,40 +103,33 @@ def c1pp(h: int, r: int, b: int, lam: int) -> PdaArray:
 
 def c2(h: int, r: int, b: int, lam: int) -> PdaArray:
     check_c2_params(h, r, b, lam)
-    cols = ksubsets(h, r)
-    name = _SymbolNamer()
-    rows: list[tuple[Cell, ...]] = []
-    row_labels: list[str] = []
-    for bb in ksubsets(h, b):
-        for gg in combinations(bb, lam):
-            row: list[Cell] = []
-            for aa in cols:
-                if intersection(aa, gg) or not set(bb) <= set(union(aa, gg)):
-                    row.append(STAR)
-                    continue
-                row.append(name((union(aa, gg), difference(aa, bb))))
-            rows.append(tuple(row))
-            row_labels.append(f"{format_relays(bb)}|{format_relays(gg)}")
-    return PdaArray(h, r, tuple(cols), tuple(rows), tuple(row_labels))
+    rows = (
+        (f"{format_relays(bb)}|{format_relays(gg)}", (frozenset(bb), frozenset(gg)))
+        for bb in ksubsets(h, b)
+        for gg in combinations(bb, lam)
+    )
+
+    def rule(aa: frozenset[int], row: tuple[frozenset[int], frozenset[int]]) -> SymbolKey | None:
+        bb, gg = row
+        ag = aa | gg
+        if aa & gg or not bb <= ag:
+            return None
+        return ag, aa - bb
+
+    return _build(h, r, ksubsets(h, r), rows, rule)
 
 
 def mn_pda(k: int, t: int) -> PdaArray:
-    """Single-server array: rows are t-subsets of [k], column j stars rows containing j."""
+    """Single-server array: rows are t-subsets of [k], column j stars rows containing j.
+
+    Keying each symbol by the (t+1)-set column | row numbers the symbols in
+    lexicographic order of those sets, because that is their row-major
+    first-encounter order.
+    """
     if not 0 < t < k:
         raise ValueError(f"need 0 < t < k, got t={t}, k={k}")
-    tsets = ksubsets(k, t)
-    rank = {s: i for i, s in enumerate(ksubsets(k, t + 1))}
-    rows: list[tuple[Cell, ...]] = []
-    for tt in tsets:
-        row: list[Cell] = []
-        for u in range(1, k + 1):
-            if u in tt:
-                row.append(STAR)
-            else:
-                row.append(rank[union(tt, (u,))] + 1)
-        rows.append(tuple(row))
-    cols = tuple((u,) for u in range(1, k + 1))
-    return PdaArray(k, 1, cols, tuple(rows), tuple(format_relays(tt) for tt in tsets))
+    return _build(k, 1, ksubsets(k, 1), _subset_rows(k, t),
+                  lambda u, tt: None if u <= tt else u | tt)
 
 
 FAMILIES = ("c1p", "c1pp", "c2", "mn")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
-from .combinat import RelaySet, common_relays, format_relays, parse_relays
+from .combinat import RelaySet, common_relays, format_relays, parse_positive, parse_relays
 
 STAR = None
 
@@ -103,8 +103,7 @@ class SymbolInfo:
     """Where one symbol occurs and which relays can serve all of its users."""
 
     occurrences: tuple[tuple[int, int], ...]  # (row, col) 0-based, row-major
-    covering: tuple[RelaySet, ...]  # column labels at the occurrences
-    common: RelaySet  # intersection of the covering labels
+    common: RelaySet  # intersection of the column labels at the occurrences
 
     @property
     def width(self) -> int:
@@ -120,8 +119,7 @@ def build_symbol_index(array: PdaArray) -> dict[int, SymbolInfo]:
                 occ.setdefault(cell, []).append((i, j))
     index: dict[int, SymbolInfo] = {}
     for s, cells in occ.items():
-        covering = tuple(array.col_labels[j] for _, j in cells)
-        index[s] = SymbolInfo(tuple(cells), covering, common_relays(covering))
+        index[s] = SymbolInfo(tuple(cells), common_relays(array.col_labels[j] for _, j in cells))
     return index
 
 
@@ -172,12 +170,9 @@ def _header_int(lines: list[str], lineno: int, key: str) -> int:
     if len(parts) != 2 or parts[0] != key:
         raise ArrayFormatError(f"line {lineno}: expected '{key} <int>', got {lines[lineno - 1]!r}")
     try:
-        val = int(parts[1])
-    except ValueError:
-        raise ArrayFormatError(f"line {lineno}: expected '{key} <int>', got {lines[lineno - 1]!r}") from None
-    if val < 1:
-        raise ArrayFormatError(f"line {lineno}: {key} must be positive, got {val}")
-    return val
+        return parse_positive(parts[1])
+    except ValueError as e:
+        raise ArrayFormatError(f"line {lineno}: {key}: {e}") from None
 
 
 def parse_array(text: str) -> PdaArray:
@@ -213,9 +208,10 @@ def parse_array(text: str) -> PdaArray:
             if tok == "*":
                 row.append(STAR)
             else:
-                if not tok.isdigit() or int(tok) < 1:
-                    raise ArrayFormatError(f"line {lineno}: bad cell {tok!r}")
-                row.append(int(tok))
+                try:
+                    row.append(parse_positive(tok))
+                except ValueError:
+                    raise ArrayFormatError(f"line {lineno}: bad cell {tok!r}") from None
         rows.append(tuple(row))
     try:
         return PdaArray(h, r, col_labels, tuple(rows))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .combinat import format_relays
+from .combinat import common_relays, format_relays
 from .model import STAR, PdaArray, SymbolInfo
 
 
@@ -161,11 +161,7 @@ def reverify(array: PdaArray, violation: Violation) -> bool:
         ((i, j),) = violation.cells
         return array.cell(i, j) is not STAR
     if violation.axiom == "C3":
-        labels = [array.col_labels[j] for j in violation.cols]
-        shared = set(labels[0])
-        for lab in labels[1:]:
-            shared &= set(lab)
-        return not shared
+        return not common_relays(array.col_labels[j] for j in violation.cols)
     raise ValueError(f"unknown axiom {violation.axiom!r}")
 
 

@@ -217,6 +217,19 @@ def test_compare_refuses_a_series_past_the_limit(capsys, extra):
     assert "5006385" in err and "--grid" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compare", "--H", "60", "--r", "6", "--grid", "1/2"),
+    ("params", "--family", "scheme2", "--H", "60", "--r", "6", "--t", "2503193"),
+])
+def test_scheme2_point_past_the_digit_limit_is_refused(capsys, argv):
+    # C(5006386, 2503193) has about 1.5 million digits
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert err.startswith("error: t=2503193:")
+
+
 def test_compare_stdout_and_file(capsys, tmp_path):
     rc, out, _ = run(capsys, "compare", "--H", "5", "--r", "3")
     assert rc == 0

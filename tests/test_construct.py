@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from cpda.combinat import binomial, ksubsets
 from cpda.construct import build_family, c1p, c1pp, c2, mn_pda
-from cpda.model import STAR, build_symbol_index, equivalent_up_to_symbols
+from cpda.model import STAR, build_symbol_index, equivalent_up_to_symbols, format_array
 from cpda.validate import validate
 
 from conftest import EX1_ROWS_CANONICAL
@@ -180,3 +182,36 @@ def test_build_family_dispatch():
 def test_columns_are_lex_subsets():
     arr = c1p(5, 3, 1, 1)
     assert list(arr.col_labels) == ksubsets(5, 3)
+
+
+def _every_small_array():
+    """Every buildable c1p, c1pp and c2 tuple with 3 <= H <= 8, then mn_pda(k, t) for k <= 9."""
+    for h in range(3, 9):
+        for r in range(1, h):
+            for b in range(1, h):
+                for lam in range(1, min(r, b) + 1):
+                    if r + b - 2 * lam < h:
+                        yield c1p, (h, r, b, lam)
+                        yield c1pp, (h, r, b, lam)
+            for lam in range(1, h - r):
+                for b in range(lam + 1, r + lam):
+                    yield c2, (h, r, b, lam)
+    for k in range(2, 10):
+        for t in range(1, k):
+            yield mn_pda, (k, t)
+
+
+# sha256 over the 684 arrays of _every_small_array, recorded from the
+# generators as they were before they shared one builder
+SMALL_ARRAYS_SHA256 = "42202e8beb25bba8db4634ddd0b98b00805e72e787d7e79c86cd440ef30476b9"
+
+
+def test_generator_outputs_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for fn, args in _every_small_array():
+        arr = fn(*args)
+        digest.update(f"{fn.__name__}{args}\n".encode())
+        digest.update(format_array(arr).encode())
+        digest.update(repr(arr.rows).encode())
+        digest.update(("|".join(arr.row_labels) + "\n").encode())
+    assert digest.hexdigest() == SMALL_ARRAYS_SHA256

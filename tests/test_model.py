@@ -4,7 +4,10 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpda.construct import c1pp, c2, mn_pda
 from cpda.model import (
     STAR,
     ArrayFormatError,
@@ -59,7 +62,7 @@ def test_symbol_index_golden(worked_ex1):
     assert len(index) == 10
     s1 = index[1]
     assert s1.occurrences == ((2, 0), (3, 1), (4, 2))
-    assert s1.covering == ((1, 2, 3), (1, 2, 4), (1, 2, 5))
+    assert [worked_ex1.col_labels[j] for _, j in s1.occurrences] == [(1, 2, 3), (1, 2, 4), (1, 2, 5)]
     assert s1.common == (1, 2) and s1.width == 2
     s5 = index[5]
     assert s5.occurrences == ((0, 0), (3, 6), (4, 7))
@@ -144,6 +147,16 @@ def test_parse_good_text():
         (lambda t: t.replace("* 1", "*  1"), "line 8"),
         (lambda t: t + "9 9\n", "expected 8 lines"),
         (lambda t: t.replace("cols 1 2", "cols 1 1"), "duplicate"),
+        # every integer is canonical ASCII decimal: no sign, underscore, leading
+        # zero or non-ASCII digit, in headers, column labels and cells alike
+        pytest.param(lambda t: t.replace("H 2", "H +2"), "line 2", id="header-sign"),
+        pytest.param(lambda t: t.replace("F 2", "F 0_2"), "line 4", id="header-underscore"),
+        pytest.param(lambda t: t.replace("H 2", "H \u0662"), "line 2", id="header-arabic-indic"),
+        pytest.param(lambda t: t.replace("cols 1 2", "cols +1 2"), "line 6", id="label-sign"),
+        pytest.param(lambda t: t.replace("cols 1 2", "cols \u0661 2"), "line 6", id="label-arabic-indic"),
+        pytest.param(lambda t: t.replace("\n1 *\n", "\n01 *\n"), "line 7", id="cell-leading-zero"),
+        pytest.param(lambda t: t.replace("\n1 *\n", "\n\u0661 *\n"), "line 7", id="cell-arabic-indic"),
+        pytest.param(lambda t: t.replace("\n1 *\n", "\n\u00b9 *\n"), "line 7", id="cell-superscript"),
     ],
 )
 def test_parse_rejects_mangled_text(mangle, fragment):
@@ -155,3 +168,35 @@ def test_parse_rejects_mangled_text(mangle, fragment):
 def test_parse_reports_missing_rows():
     with pytest.raises(ArrayFormatError):
         parse_array("#CPDA v1\nH 2\nr 1\nF 2\nK 2\ncols 1 2\n1 *\n")
+
+
+FUZZ_SEEDS = tuple(
+    format_array(a) for a in (c1pp(5, 3, 1, 1), c2(4, 2, 2, 1), mn_pda(3, 1))
+) + (GOOD,)
+FUZZ_ALPHABET = "+_0*-\u00b9\u0665 \n123456789"
+
+_edit = st.tuples(st.sampled_from("idr"), st.integers(0, 10**6), st.sampled_from(FUZZ_ALPHABET))
+
+
+def _apply(text: str, edits: list[tuple[str, int, str]]) -> str:
+    for op, pos, ch in edits:
+        i = pos % (len(text) + 1)
+        if op == "i":
+            text = text[:i] + ch + text[i:]
+        elif op == "d":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + ch + text[i + 1:]
+    return text
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.sampled_from(FUZZ_SEEDS), st.lists(_edit, min_size=1, max_size=3))
+def test_parse_fuzzed_text_is_refused_or_round_trips(seed, edits):
+    text = _apply(seed, edits)
+    try:
+        a = parse_array(text)
+    except ArrayFormatError:
+        return
+    if canonical_relabel(a) == a:
+        assert format_array(a) == text
