@@ -10,6 +10,14 @@ sub-signals to every attached user. A user rebuilds X_s from the w_s pieces,
 XORs out the terms it has cached (the cross cells are stars, so it has them),
 and is left with its own missing packet.
 
+Every byte exists once. A cache is a read-only view over the shared library
+that serves only the starred rows of its user's column, so a decode that
+reaches for a packet the user never cached raises KeyError. Each relay keeps
+one buffer holding each of its pieces once, and a user reads the buffers of
+its own relays through one view. XORs run on whole packets as Python ints.
+`simulate` refuses, before drawing any bytes, a run whose library, decoded
+files and relay buffers would need more than `MAX_SIM_BYTES`.
+
 Everything is exact: E must be divisible by F * lcm(w_s) so packets and
 sub-signals are whole byte ranges, and rates come out as Fractions of E.
 """
@@ -17,6 +25,8 @@ sub-signals are whole byte ranges, and rates come out as Fractions of E.
 from __future__ import annotations
 
 import random
+from collections import ChainMap
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -26,6 +36,10 @@ from .model import STAR, PdaArray
 from .validate import InvalidArrayError, validate
 
 PacketId = tuple[int, int]  # (file id, packet id), both 1-based
+PieceId = tuple[int, int]  # (symbol, sub-signal index)
+
+# library + decoded files + relay buffers of one run; 1 GiB
+MAX_SIM_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -71,19 +85,42 @@ def make_library(array: PdaArray, n: int, seed: int = 0, unit: int = 64) -> Libr
     return Library(tuple(rng.randbytes(e) for _ in range(n)))
 
 
-def place(array: PdaArray, library: Library) -> dict[RelaySet, dict[PacketId, bytes]]:
-    """Fill each user's cache with the packets starred in its column."""
+class CacheView(Mapping[PacketId, bytes]):
+    """One user's cache: every file's packets at the starred rows of its column.
+
+    Reads go to the shared library; a packet outside those rows, or of a file
+    outside 1..N, is not in the cache and raises KeyError.
+    """
+
+    def __init__(self, library: Library, starred: tuple[int, ...], f_rows: int) -> None:
+        self._files = library.files
+        self._size = library.e_bytes // f_rows
+        self._starred = starred  # packet ids, ascending
+        self._rows = frozenset(starred)
+
+    def __getitem__(self, key: PacketId) -> bytes:
+        fid, pid = key
+        if pid not in self._rows or not 1 <= fid <= len(self._files):
+            raise KeyError(key)
+        return self._files[fid - 1][(pid - 1) * self._size: pid * self._size]
+
+    def __iter__(self) -> Iterator[PacketId]:
+        n = len(self._files)
+        return ((fid, pid) for pid in self._starred for fid in range(1, n + 1))
+
+    def __len__(self) -> int:
+        return len(self._starred) * len(self._files)
+
+
+def place(array: PdaArray, library: Library) -> dict[RelaySet, CacheView]:
+    """Give each user a view of the packets starred in its column."""
     need = min_file_bytes(array)
     if library.e_bytes % need:
         raise ValueError(f"file size {library.e_bytes} not divisible by F*lcm(w) = {need}")
-    caches: dict[RelaySet, dict[PacketId, bytes]] = {}
+    caches: dict[RelaySet, CacheView] = {}
     for j, label in enumerate(array.col_labels):
-        cache: dict[PacketId, bytes] = {}
-        for i in range(array.f):
-            if array.rows[i][j] is STAR:
-                for fid in range(1, library.n + 1):
-                    cache[(fid, i + 1)] = library.packet(fid, i + 1, array.f)
-        caches[label] = cache
+        starred = tuple(i + 1 for i, row in enumerate(array.rows) if row[j] is STAR)
+        caches[label] = CacheView(library, starred, array.f)
     return caches
 
 
@@ -134,16 +171,15 @@ class TransmissionLog:
     user_bytes: dict[RelaySet, int]  # forwarded to each user by its relays
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError("xor of unequal lengths")
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 def execute(
     array: PdaArray, plan: DeliveryPlan, library: Library
-) -> tuple[TransmissionLog, dict[RelaySet, dict[tuple[int, int], bytes]]]:
-    """Form, split and forward every signal; returns the log and per-user pieces."""
+) -> tuple[TransmissionLog, dict[RelaySet, ChainMap[PieceId, bytes]]]:
+    """Form, split and forward every signal; returns the log and per-user pieces.
+
+    Each piece is stored once, in its relay's buffer. A user's pieces are a
+    ChainMap over the buffers of its relays, with a first map of its own, so
+    a write through one user's view reaches no other user.
+    """
     e = library.e_bytes
     if e % array.f:
         raise ValueError(f"file size {e} not divisible by row count {array.f}")
@@ -151,32 +187,27 @@ def execute(
     if any(d > library.n for d in plan.demands):
         raise ValueError("demand outside library")
     relay_bytes = {h: 0 for h in range(1, array.h + 1)}
-    relay_parts: dict[int, list[tuple[int, int]]] = {h: [] for h in relay_bytes}
-    user_bytes = {label: 0 for label in array.col_labels}
-    received: dict[RelaySet, dict[tuple[int, int], bytes]] = {label: {} for label in array.col_labels}
+    buffers: dict[int, dict[PieceId, bytes]] = {h: {} for h in relay_bytes}
     for sig in plan.signals:
-        x = bytes(packet_bytes)
-        for _, _, fid, pid in sig.terms:
-            x = _xor(x, library.packet(fid, pid, array.f))
         w = len(sig.relays)
         if packet_bytes % w:
             raise ValueError(f"packet size {packet_bytes} not divisible by width {w}")
+        x = 0
+        for _, _, fid, pid in sig.terms:
+            x ^= int.from_bytes(library.packet(fid, pid, array.f), "little")
+        signal = x.to_bytes(packet_bytes, "little")
         part = packet_bytes // w
         for l, h in enumerate(sig.relays):
-            chunk = x[l * part: (l + 1) * part]
+            buffers[h][(sig.symbol, l)] = signal[l * part: (l + 1) * part]
             relay_bytes[h] += part
-            relay_parts[h].append((sig.symbol, l))
-            for label in array.col_labels:
-                if h in label:
-                    received[label][(sig.symbol, l)] = chunk
-                    user_bytes[label] += part
     log = TransmissionLog(
         e_bytes=e,
         f_rows=array.f,
         relay_bytes=relay_bytes,
-        relay_parts={h: tuple(parts) for h, parts in relay_parts.items()},
-        user_bytes=user_bytes,
+        relay_parts={h: tuple(buf) for h, buf in buffers.items()},
+        user_bytes={label: sum(relay_bytes[h] for h in label) for label in array.col_labels},
     )
+    received = {label: ChainMap({}, *(buffers[h] for h in label)) for label in array.col_labels}
     return log, received
 
 
@@ -193,34 +224,35 @@ class DecodeResult:
 def decode_all(
     array: PdaArray,
     plan: DeliveryPlan,
-    caches: dict[RelaySet, dict[PacketId, bytes]],
-    received: dict[RelaySet, dict[tuple[int, int], bytes]],
+    caches: Mapping[RelaySet, Mapping[PacketId, bytes]],
+    received: Mapping[RelaySet, Mapping[PieceId, bytes]],
     library: Library,
 ) -> DecodeResult:
     """Each user rebuilds its demanded file from cache plus received pieces."""
     by_symbol = {sig.symbol: sig for sig in plan.signals}
+    size = library.e_bytes // array.f
     files: dict[RelaySet, bytes] = {}
     failures: list[tuple[RelaySet, int]] = []
     for j, label in enumerate(array.col_labels):
         want = plan.demands[j]
+        cache, pieces = caches[label], received[label]
         parts: list[bytes] = []
-        for i in range(array.f):
-            cell = array.rows[i][j]
+        for i, row in enumerate(array.rows):
+            cell = row[j]
             if cell is STAR:
-                parts.append(caches[label][(want, i + 1)])
+                parts.append(cache[(want, i + 1)])
                 continue
             sig = by_symbol[cell]
-            x = b"".join(received[label][(cell, l)] for l in range(len(sig.relays)))
+            x = int.from_bytes(b"".join(pieces[(cell, l)] for l in range(len(sig.relays))), "little")
             for col, _, fid, pid in sig.terms:
                 if col != j:
                     # cross cells are stars, so this term sits in the cache
-                    x = _xor(x, caches[label][(fid, pid)])
-            parts.append(x)
+                    x ^= int.from_bytes(cache[(fid, pid)], "little")
+            parts.append(x.to_bytes(size, "little"))
         got = b"".join(parts)
         files[label] = got
         expect = library.files[want - 1]
         if got != expect:
-            size = library.e_bytes // array.f
             for i in range(array.f):
                 if got[i * size: (i + 1) * size] != expect[i * size: (i + 1) * size]:
                     failures.append((label, i + 1))
@@ -268,6 +300,11 @@ def simulate(
         axioms = sorted({v.axiom for v in report.violations})
         raise InvalidArrayError("array is not simulatable, failing: " + ", ".join(axioms))
     n = array.k if n_files is None else n_files
+    e = unit * min_file_bytes(array)
+    need = (n + array.k) * e + len(array.symbol_index) * e // array.f
+    if need > MAX_SIM_BYTES:
+        raise ValueError(f"{n} files of {e} bytes need about {need} bytes, above the "
+                         f"{MAX_SIM_BYTES}-byte limit; lower --files or --unit")
     library = make_library(array, n, seed=seed, unit=unit)
     if demands is None:
         demands = default_demands(array.k, n)

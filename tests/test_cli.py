@@ -152,6 +152,18 @@ def test_simulate_deterministic(capsys, golden_path):
     assert rc1 == rc2 == 0 and out1 == out2
 
 
+
+def test_simulate_refuses_a_run_past_the_memory_limit(capsys, tmp_path):
+    path = tmp_path / "big.cpda"
+    assert main(["build", "--family", "c2", "--H", "10", "--r", "4", "--b", "3",
+                 "--lambda", "2", "--out", str(path)]) == 0
+    # N = K = 210 files of 1.08 GB each: hundreds of GB if it were drawn
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "simulate", str(path), "--unit", "1000000")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert "--files" in err and "--unit" in err
+
 def test_params_command(capsys):
     rc, out, _ = run(capsys, "params", "--family", "scheme2", "--H", "4", "--r", "2", "--t", "1")
     assert rc == 0

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from cpda import model
+from cpda import simulate as sim
 from cpda.analysis import rate_from_array
 from cpda.construct import c1p, c1pp, c2, mn_pda
 from cpda.model import STAR, build_symbol_index
@@ -219,3 +221,65 @@ def test_symbol_index_is_derived_once_per_array(monkeypatch):
     assert array.symbol_index == build_symbol_index(array)
     with pytest.raises(TypeError):
         array.symbol_index[1] = array.symbol_index[2]  # type: ignore[index]
+
+
+def test_cache_view_refuses_what_is_not_cached(worked_ex1):
+    lib = make_library(worked_ex1, 10, unit=1)
+    caches = place(worked_ex1, lib)
+    cache = caches[(1, 2, 3)]  # stars in rows 4 and 5 only
+    for key in [(1, 1), (1, 2), (1, 3), (10, 1), (0, 4), (11, 4), (-1, 5), (1, 0), (1, 6)]:
+        assert key not in cache
+        with pytest.raises(KeyError):
+            cache[key]
+    assert len(cache) == 20 and len(list(cache)) == 20
+    assert set(cache) == {(n, j) for n in range(1, 11) for j in (4, 5)}
+    assert list(cache)[:3] == [(1, 4), (2, 4), (3, 4)]  # rows outer, files inner
+    assert all(cache[(n, j)] == lib.files[n - 1][2 * j - 2: 2 * j] for n, j in cache)
+    with pytest.raises(TypeError):
+        cache[(1, 4)] = b"xx"  # type: ignore[index]
+
+
+def test_flipped_byte_in_a_relay_buffer_fails_exactly_the_symbol_users():
+    array = c2(6, 3, 2, 1)
+    lib = make_library(array, 2, seed=5, unit=4)
+    caches = place(array, lib)
+    plan = plan_delivery(array, default_demands(array.k, 2))
+    log, received = execute(array, plan, lib)
+    assert decode_all(array, plan, caches, received, lib).ok
+    for h, parts in log.relay_parts.items():
+        for symbol, part in (parts[0], parts[-1]):
+            behind = [label for label in array.col_labels if h in label]
+            # a user's view chains its own writes, then its relays' buffers in label order
+            buffer = received[behind[0]].maps[1 + behind[0].index(h)]
+            clean = buffer[(symbol, part)]
+            buffer[(symbol, part)] = bytes([clean[0] ^ 0x01]) + clean[1:]
+            assert all(received[label][(symbol, part)] != clean for label in behind)
+            result = decode_all(array, plan, caches, received, lib)
+            want = {(array.col_labels[j], i + 1) for i, j in array.symbol_index[symbol].occurrences}
+            assert want and set(result.failures) == want and len(result.failures) == len(want)
+            buffer[(symbol, part)] = clean
+
+
+def test_simulate_refuses_past_the_byte_limit(monkeypatch, worked_ex1):
+    # 3 files, 10 users, E = 4 * 10 bytes, 10 signals of E/F = 8 bytes
+    need = (3 + 10) * 40 + 10 * 8
+    monkeypatch.setattr(sim, "MAX_SIM_BYTES", need)
+    assert simulate(worked_ex1, n_files=3, unit=4).ok
+    monkeypatch.setattr(sim, "MAX_SIM_BYTES", need - 1)
+    with pytest.raises(ValueError, match="--files or --unit"):
+        simulate(worked_ex1, n_files=3, unit=4)
+
+
+def test_simulate_peak_memory_stays_below_twice_library_plus_files():
+    # the CLI's fanout shape: N = K = 84 files, every user a different one
+    array = c2(9, 3, 2, 1)
+    array.symbol_index  # derived before tracing, as every later run shares it
+    n, e = array.k, 64 * min_file_bytes(array)
+    tracemalloc.start()
+    try:
+        rep = simulate(array, n_files=n, unit=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 2 * (n + array.k) * e, peak
