@@ -48,7 +48,6 @@ class SchemeParams:
     family: str
     h: int
     r: int
-    k: int
     params: tuple[tuple[str, int], ...]
     memory_ratio: Fraction
     rate: Fraction
@@ -56,13 +55,21 @@ class SchemeParams:
     f_rows: int  # packets per file before signal splitting
     w: int | None  # uniform signal width; None if unknown or no signals
     f_eff: int  # conventional effective subpacketization
-    f_eff_full_split: int  # coarse H * f_rows accounting
 
     def __post_init__(self) -> None:
         if not 0 <= self.memory_ratio <= 1:
             raise ValueError(f"memory ratio {self.memory_ratio} outside [0, 1]")
         if self.rate < 0 or self.f_eff < 1:
             raise ValueError("rate must be >= 0 and f_eff >= 1")
+
+    @property
+    def k(self) -> int:
+        return binomial(self.h, self.r)
+
+    @property
+    def f_eff_full_split(self) -> int:
+        """The coarse H * f_rows accounting."""
+        return self.h * self.f_rows
 
     @property
     def param_str(self) -> str:
@@ -82,7 +89,6 @@ def params_c1(h: int, r: int, b: int, lam: int, variant: str) -> SchemeParams:
     if variant == "pp" and lam == r:
         raise ValueError("c1pp with lambda = r cannot be routed (symbols share no relay)")
     f_rows = binomial(h, b)
-    k = binomial(h, r)
     s = r + b - 2 * lam
     non_stars = binomial(r, lam) * binomial(h - r, b - lam)
     memory = 1 - Fraction(non_stars, f_rows)
@@ -100,7 +106,6 @@ def params_c1(h: int, r: int, b: int, lam: int, variant: str) -> SchemeParams:
         family="c1" + variant,
         h=h,
         r=r,
-        k=k,
         params=(("b", b), ("lam", lam)),
         memory_ratio=memory,
         rate=Fraction(s_count, h * f_rows),
@@ -108,7 +113,6 @@ def params_c1(h: int, r: int, b: int, lam: int, variant: str) -> SchemeParams:
         f_rows=f_rows,
         w=w,
         f_eff=f_rows * (w or 1),
-        f_eff_full_split=h * f_rows,
     )
 
 
@@ -122,7 +126,6 @@ def params_c2(h: int, r: int, b: int, lam: int) -> SchemeParams:
         family="c2",
         h=h,
         r=r,
-        k=binomial(h, r),
         params=(("b", b), ("lam", lam)),
         memory_ratio=1 - Fraction(non_stars, f_rows),
         rate=Fraction(s_count, h * f_rows),
@@ -130,7 +133,6 @@ def params_c2(h: int, r: int, b: int, lam: int) -> SchemeParams:
         f_rows=f_rows,
         w=w,
         f_eff=w * f_rows,
-        f_eff_full_split=h * f_rows,
     )
 
 
@@ -155,7 +157,6 @@ def _scheme2(h: int, r: int, k1: int, t: int, f_rows: int) -> SchemeParams:
         family="scheme2",
         h=h,
         r=r,
-        k=k,
         params=(("t", t),),
         memory_ratio=Fraction(t, k1),
         # K(1 - M/N) / (H(1 + K1*M/N)) with K = H*K1/r reduces to (K1-t)/(r(1+t))
@@ -164,7 +165,6 @@ def _scheme2(h: int, r: int, k1: int, t: int, f_rows: int) -> SchemeParams:
         f_rows=f_rows,
         w=1,
         f_eff=r * f_rows,
-        f_eff_full_split=h * f_rows,
     )
 
 
@@ -218,7 +218,6 @@ def params_scheme3(h: int, r: int, b: int, lam: int) -> SchemeParams:
         family="scheme3",
         h=h,
         r=r,
-        k=binomial(h, r),
         params=(("b", b), ("lam", lam)),
         memory_ratio=memory,
         rate=Fraction(s_count, r * f_base),
@@ -226,7 +225,6 @@ def params_scheme3(h: int, r: int, b: int, lam: int) -> SchemeParams:
         f_rows=r * f_base,
         w=None,
         f_eff=h * r * f_base,
-        f_eff_full_split=h * r * f_base,
     )
 
 

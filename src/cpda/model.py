@@ -74,9 +74,6 @@ class PdaArray:
     def k(self) -> int:
         return len(self.col_labels)
 
-    def cell(self, i: int, j: int) -> Cell:
-        return self.rows[i][j]
-
     def star_count(self, j: int) -> int:
         return sum(1 for row in self.rows if row[j] is STAR)
 
@@ -92,10 +89,6 @@ class PdaArray:
     def __getstate__(self) -> dict[str, object]:
         # a mappingproxy cannot be pickled; the copy derives its own index on first use
         return {k: v for k, v in self.__dict__.items() if k != "symbol_index"}
-
-    def symbols(self) -> list[int]:
-        """Distinct symbol ids in first-occurrence row-major order."""
-        return list(self.symbol_index)
 
 
 @dataclass(frozen=True)

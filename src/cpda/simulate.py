@@ -88,28 +88,33 @@ def make_library(array: PdaArray, n: int, seed: int = 0, unit: int = 64) -> Libr
 class CacheView(Mapping[PacketId, bytes]):
     """One user's cache: every file's packets at the starred rows of its column.
 
-    Reads go to the shared library; a packet outside those rows, or of a file
+    The star test reads the array's own rows, so no cache copies them. Reads
+    go to the shared library; a packet outside those rows, or of a file
     outside 1..N, is not in the cache and raises KeyError.
     """
 
-    def __init__(self, library: Library, starred: tuple[int, ...], f_rows: int) -> None:
+    def __init__(self, library: Library, array: PdaArray, col: int) -> None:
         self._files = library.files
-        self._size = library.e_bytes // f_rows
-        self._starred = starred  # packet ids, ascending
-        self._rows = frozenset(starred)
+        self._size = library.e_bytes // array.f
+        self._array = array
+        self._rows = array.rows
+        self._col = col
 
     def __getitem__(self, key: PacketId) -> bytes:
         fid, pid = key
-        if pid not in self._rows or not 1 <= fid <= len(self._files):
+        # the range test comes first: pid 0 or below would wrap to the last rows
+        if not (1 <= pid <= len(self._rows) and 1 <= fid <= len(self._files)) \
+                or self._rows[pid - 1][self._col] is not STAR:
             raise KeyError(key)
         return self._files[fid - 1][(pid - 1) * self._size: pid * self._size]
 
     def __iter__(self) -> Iterator[PacketId]:
-        n = len(self._files)
-        return ((fid, pid) for pid in self._starred for fid in range(1, n + 1))
+        n, col = len(self._files), self._col
+        return ((fid, i + 1) for i, row in enumerate(self._rows) if row[col] is STAR
+                for fid in range(1, n + 1))
 
     def __len__(self) -> int:
-        return len(self._starred) * len(self._files)
+        return self._array.star_count(self._col) * len(self._files)
 
 
 def place(array: PdaArray, library: Library) -> dict[RelaySet, CacheView]:
@@ -117,11 +122,7 @@ def place(array: PdaArray, library: Library) -> dict[RelaySet, CacheView]:
     need = min_file_bytes(array)
     if library.e_bytes % need:
         raise ValueError(f"file size {library.e_bytes} not divisible by F*lcm(w) = {need}")
-    caches: dict[RelaySet, CacheView] = {}
-    for j, label in enumerate(array.col_labels):
-        starred = tuple(i + 1 for i, row in enumerate(array.rows) if row[j] is STAR)
-        caches[label] = CacheView(library, starred, array.f)
-    return caches
+    return {label: CacheView(library, array, j) for j, label in enumerate(array.col_labels)}
 
 
 @dataclass(frozen=True)
@@ -136,12 +137,6 @@ class SignalPlan:
 class DeliveryPlan:
     signals: tuple[SignalPlan, ...]
     demands: tuple[int, ...]
-
-    def by_symbol(self, s: int) -> SignalPlan:
-        for sig in self.signals:
-            if sig.symbol == s:
-                return sig
-        raise KeyError(s)
 
 
 def plan_delivery(array: PdaArray, demands: tuple[int, ...]) -> DeliveryPlan:
@@ -243,7 +238,12 @@ def decode_all(
                 parts.append(cache[(want, i + 1)])
                 continue
             sig = by_symbol[cell]
-            x = int.from_bytes(b"".join(pieces[(cell, l)] for l in range(len(sig.relays))), "little")
+            signal = b"".join(pieces[(cell, l)] for l in range(len(sig.relays)))
+            if len(signal) != size:
+                # not one packet's worth of bytes: nothing decodes, so the packet fails below
+                parts.append(b"")
+                continue
+            x = int.from_bytes(signal, "little")
             for col, _, fid, pid in sig.terms:
                 if col != j:
                     # cross cells are stars, so this term sits in the cache
@@ -253,8 +253,8 @@ def decode_all(
         files[label] = got
         expect = library.files[want - 1]
         if got != expect:
-            for i in range(array.f):
-                if got[i * size: (i + 1) * size] != expect[i * size: (i + 1) * size]:
+            for i, part in enumerate(parts):
+                if part != expect[i * size: (i + 1) * size]:
                     failures.append((label, i + 1))
     return DecodeResult(files, tuple(failures))
 

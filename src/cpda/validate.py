@@ -99,10 +99,10 @@ def check_c2(array: PdaArray, index: Mapping[int, SymbolInfo]) -> list[Violation
         for a in range(len(cells)):
             for b in range(a + 1, len(cells)):
                 (i1, j1), (i2, j2) = cells[a], cells[b]
-                if array.cell(i1, j2) is not STAR:
+                if array.rows[i1][j2] is not STAR:
                     out.append(Violation("C2b", symbol=s, cells=((i1, j2),),
                                          note=f"cross cell of ({i1 + 1},{i2 + 1}) not a star"))
-                if array.cell(i2, j1) is not STAR:
+                if array.rows[i2][j1] is not STAR:
                     out.append(Violation("C2b", symbol=s, cells=((i2, j1),),
                                          note=f"cross cell of ({i1 + 1},{i2 + 1}) not a star"))
     return out
@@ -154,12 +154,12 @@ def reverify(array: PdaArray, violation: Violation) -> bool:
         return (
             same_line
             and (i1, j1) != (i2, j2)
-            and array.cell(i1, j1) == array.cell(i2, j2)
-            and array.cell(i1, j1) is not STAR
+            and array.rows[i1][j1] == array.rows[i2][j2]
+            and array.rows[i1][j1] is not STAR
         )
     if violation.axiom == "C2b":
         ((i, j),) = violation.cells
-        return array.cell(i, j) is not STAR
+        return array.rows[i][j] is not STAR
     if violation.axiom == "C3":
         return not common_relays(array.col_labels[j] for j in violation.cols)
     raise ValueError(f"unknown axiom {violation.axiom!r}")

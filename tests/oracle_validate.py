@@ -32,7 +32,7 @@ def check_c2_bruteforce(array: PdaArray) -> bool:
                 continue
             if i1 == i2 or j1 == j2:
                 return False
-            if array.cell(i1, j2) is not STAR or array.cell(i2, j1) is not STAR:
+            if array.rows[i1][j2] is not STAR or array.rows[i2][j1] is not STAR:
                 return False
     return True
 

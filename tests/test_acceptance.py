@@ -93,9 +93,10 @@ def test_criterion_2_worked_delivery_example(capsys, worked_ex1):
     t0 = time.monotonic()
     demands = tuple(range(1, 11))
     plan = plan_delivery(worked_ex1, demands)
+    by_symbol = {sig.symbol: sig for sig in plan.signals}
     for s in range(1, 11):
         terms, relays = EX1_DELIVERY[s]
-        sig = plan.by_symbol(s)
+        sig = by_symbol[s]
         assert tuple((fid, pid) for _, _, fid, pid in sig.terms) == terms, s
         assert sig.relays == relays, s
     # the generated array carries the same ten signals under its own numbering

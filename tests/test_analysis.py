@@ -165,7 +165,7 @@ def test_calculators_match_built_arrays():
     for p, arr in cases:
         assert rate_from_array(arr) == {h: p.rate for h in range(1, p.h + 1)}
         assert arr.k == p.k and arr.f == p.f_rows
-        assert len(arr.symbols()) == p.s_count
+        assert len(list(arr.symbol_index)) == p.s_count
 
 
 def test_memory_dips_before_rising_in_lambda():

@@ -40,9 +40,9 @@ def test_c1_cell_rules():
     arr = c1p(5, 3, 1, 1)
     cols = {lab: j for j, lab in enumerate(arr.col_labels)}
     # row order is the b-subsets, here singletons 1..5
-    assert arr.cell(0, cols[(1, 2, 3)]) is not STAR  # |{1} & {1,2,3}| = 1
-    assert arr.cell(3, cols[(1, 2, 3)]) is STAR  # |{4} & {1,2,3}| = 0
-    assert arr.cell(4, cols[(2, 4, 5)]) is not STAR
+    assert arr.rows[0][cols[(1, 2, 3)]] is not STAR  # |{1} & {1,2,3}| = 1
+    assert arr.rows[3][cols[(1, 2, 3)]] is STAR  # |{4} & {1,2,3}| = 0
+    assert arr.rows[4][cols[(2, 4, 5)]] is not STAR
 
 
 def test_c1_variants_share_star_pattern():
@@ -103,10 +103,10 @@ def test_c2_cell_rule():
     arr = c2(5, 2, 2, 1)
     cols = {lab: j for j, lab in enumerate(arr.col_labels)}
     # row (B={1,2}, Gamma={1}): A={2,3} works, A={3,4} misses 2
-    assert arr.cell(0, cols[(2, 3)]) is not STAR
-    assert arr.cell(0, cols[(3, 4)]) is STAR
+    assert arr.rows[0][cols[(2, 3)]] is not STAR
+    assert arr.rows[0][cols[(3, 4)]] is STAR
     # A={2,3} and A={2,4} share the symbol ((1,2,*),(*)) only if unions match
-    s1 = arr.cell(0, cols[(2, 3)])
+    s1 = arr.rows[0][cols[(2, 3)]]
     occ = build_symbol_index(arr)[s1].occurrences
     assert (0, cols[(2, 3)]) in occ
 

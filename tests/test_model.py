@@ -32,7 +32,7 @@ def small() -> PdaArray:
 def test_shape_accessors():
     a = small()
     assert a.f == 2 and a.k == 2
-    assert a.cell(0, 0) == 1 and a.cell(0, 1) is STAR
+    assert a.rows[0][0] == 1 and a.rows[0][1] is STAR
     assert a.star_count(0) == 1 and a.star_count(1) == 1
 
 
@@ -54,7 +54,7 @@ def test_constructor_rejects_bad_shapes():
 
 
 def test_symbols_first_occurrence_order(worked_ex1):
-    assert worked_ex1.symbols() == [5, 6, 7, 8, 9, 10, 2, 3, 4, 1]
+    assert list(worked_ex1.symbol_index) == [5, 6, 7, 8, 9, 10, 2, 3, 4, 1]
 
 
 def test_symbol_index_golden(worked_ex1):

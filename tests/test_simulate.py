@@ -227,7 +227,8 @@ def test_cache_view_refuses_what_is_not_cached(worked_ex1):
     lib = make_library(worked_ex1, 10, unit=1)
     caches = place(worked_ex1, lib)
     cache = caches[(1, 2, 3)]  # stars in rows 4 and 5 only
-    for key in [(1, 1), (1, 2), (1, 3), (10, 1), (0, 4), (11, 4), (-1, 5), (1, 0), (1, 6)]:
+    for key in [(1, 1), (1, 2), (1, 3), (10, 1), (0, 4), (11, 4), (-1, 5), (1, 0), (1, 6),
+                (1, -1), (1, -5)]:
         assert key not in cache
         with pytest.raises(KeyError):
             cache[key]
@@ -283,3 +284,35 @@ def test_simulate_peak_memory_stays_below_twice_library_plus_files():
         tracemalloc.stop()
     assert rep.ok
     assert peak < 2 * (n + array.k) * e, peak
+
+
+def test_place_keeps_no_per_user_copy():
+    array = c2(10, 4, 3, 2)
+    array.symbol_index  # derived before tracing, as every later run shares it
+    lib = make_library(array, 2, unit=1)
+    tracemalloc.start()
+    try:
+        caches = place(array, lib)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(caches) == array.k == 210
+    assert peak < 1024 * array.k, peak
+
+
+@pytest.mark.parametrize("edit", [
+    lambda piece: piece + b"\x00",  # the little-endian value is unchanged
+    lambda piece: piece + b"\x01",
+    lambda piece: piece[:-1],
+], ids=["zero-byte-longer", "one-byte-longer", "one-byte-shorter"])
+def test_piece_of_the_wrong_length_fails_only_its_packet(edit):
+    array = c2(5, 2, 2, 1)
+    lib = make_library(array, 2, seed=6, unit=2)
+    caches = place(array, lib)
+    plan = plan_delivery(array, default_demands(array.k, 2))
+    _, received = execute(array, plan, lib)
+    i, j = array.symbol_index[3].occurrences[1]
+    label = array.col_labels[j]
+    received[label][(3, 0)] = edit(received[label][(3, 0)])  # into the user's own first map
+    result = decode_all(array, plan, caches, received, lib)
+    assert result.failures == ((label, i + 1),)

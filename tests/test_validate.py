@@ -111,7 +111,7 @@ def test_fast_check_matches_bruteforce_under_mutation(worked_ex1):
         base = rng.choice(pool)
         i = rng.randrange(base.f)
         j = rng.randrange(base.k)
-        cur = base.cell(i, j)
+        cur = base.rows[i][j]
         if cur is STAR or rng.random() < 0.4:
             value = rng.randint(1, 12)
         else:

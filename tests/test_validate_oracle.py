@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracle_validate import check_c1_bruteforce, check_c2_bruteforce, check_c3_bruteforce
 
 from cpda.combinat import ksubsets
+from cpda.construct import c1p, c2, mn_pda
 from cpda.model import STAR, PdaArray, canonical_relabel, format_array, parse_array
 from cpda.validate import reverify, validate
 
@@ -47,3 +48,26 @@ def test_validate_matches_bruteforce(array):
     assert failed == {ax for ax, ok in (("C1", c1), ("C2", c2), ("C3", c3)) if not ok}
     assert all(reverify(array, v) for v in rep.violations)
     assert parse_array(format_array(array)) == canonical_relabel(array)
+
+
+def test_every_single_cell_mutant_matches_bruteforce(worked_ex1):
+    """Each cell of four small arrays set to a star, to every other symbol and to a new one."""
+    mutants = 0
+    for base in (worked_ex1, c1p(4, 2, 2, 1), c2(4, 2, 2, 1), mn_pda(4, 2)):
+        values = [STAR, *base.symbol_index, max(base.symbol_index) + 1]
+        for i, row in enumerate(base.rows):
+            for j, cur in enumerate(row):
+                for value in values:
+                    if value == cur:
+                        continue
+                    rows = list(base.rows)
+                    rows[i] = row[:j] + (value,) + row[j + 1:]
+                    array = PdaArray(base.h, base.r, base.col_labels, tuple(rows))
+                    rep = validate(array)
+                    c1, c2_ok, c3 = (check_c1_bruteforce(array), check_c2_bruteforce(array),
+                                     check_c3_bruteforce(array))
+                    assert rep.is_pda == (c1 and c2_ok), (base, i, j, value)
+                    assert rep.is_cpda == (c1 and c2_ok and c3), (base, i, j, value)
+                    assert all(reverify(array, v) for v in rep.violations), (base, i, j, value)
+                    mutants += 1
+    assert mutants == 2074
